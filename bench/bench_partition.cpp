@@ -151,7 +151,10 @@ int main(int argc, char** argv) {
       budget_ms = cli::parse_nonneg(
           cli::need_value(argc, argv, i, "--budget-ms"), "--budget-ms value");
     } else {
-      fail("unknown option '", a, "'");
+      std::fprintf(stderr,
+                   "usage: bench_partition [--only d1,d2] [--strategies s1,s2] "
+                   "[--opt-jobs N] [--json <path>] [--budget-ms M]\n");
+      return 2;
     }
   }
 
@@ -212,9 +215,14 @@ int main(int argc, char** argv) {
                       c.stats.candidates, c.stats.pruned, c.stats.warm_solves,
                       c.stats.cold_solves);
       }
-      std::printf("%-12s %-10s %6zu %10zu %11.0f %9.2fx %10.1f  %s\n",
+      // No prefix row ran before this one: there is nothing to compare to.
+      char vsbuf[32] = "-";
+      if (prefix_period > 0) {
+        std::snprintf(vsbuf, sizeof vsbuf, "%.2fx", c.vs_prefix);
+      }
+      std::printf("%-12s %-10s %6zu %10zu %11.0f %10s %10.1f  %s\n",
                   d.name.c_str(), strat.c_str(), c.banks, c.cells, c.predicted,
-                  c.vs_prefix, c.wall_ms, optbuf);
+                  vsbuf, c.wall_ms, optbuf);
       cases.push_back(std::move(c));
     }
     std::printf("\n");

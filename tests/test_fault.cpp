@@ -481,7 +481,7 @@ TEST(SvcDeadline, TimeoutProducesTypedDeadlineError) {
   circuits::Circuit mesh = circuits::register_mesh(6, 6, 2);
   std::string req = svc::make_request(nl::to_verilog(mesh.netlist),
                                       mesh.netlist.net(mesh.clock).name,
-                                      "auto:1.05", 1.1, "pulse", 1,
+                                      "auto:1.05", 1.1, "pulse",
                                       /*timeout_ms=*/1);
   svc::Server server(Tech::generic90(),
                      server_options(fresh_socket("deadline")));

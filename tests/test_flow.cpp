@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <tuple>
 
+#include "circuits/circuits.h"
 #include "core/clocktree.h"
 #include "ctl/conformance.h"
 #include "core/report.h"
@@ -315,6 +316,58 @@ INSTANTIATE_TEST_SUITE_P(
            info) {
       return protocol_suffix(std::get<0>(info.param)) + "_" +
              std::get<1>(info.param).name;
+    });
+
+// Recorded FlowEqResult figures for the scaling suite's pipe4x8 (16 rounds,
+// random_stimulus(7)), one row per protocol. Any change to the simulator's
+// event order, the flow or the power model that moves a verdict, a
+// capture count, a period or a power figure shows up here.
+struct PinnedFlowEq {
+  ctl::Protocol protocol;
+  double desync_period;
+  double predicted_period;
+  double desync_power_mw;
+  double desync_ctl_power_mw;
+};
+
+class PinnedFlowEquivalence : public ::testing::TestWithParam<PinnedFlowEq> {
+};
+
+TEST_P(PinnedFlowEquivalence, ResultsMatchRecordedFigures) {
+  const PinnedFlowEq& pin = GetParam();
+  circuits::Circuit c = circuits::pipeline(4, 8, 2);  // suite "pipe4x8"
+  verif::FlowEqOptions opt;
+  opt.rounds = 16;
+  opt.desync.protocol = pin.protocol;
+  auto res = verif::check_flow_equivalence(
+      c.netlist, c.clock, verif::random_stimulus(7), Tech::generic90(), opt);
+  EXPECT_TRUE(res.equivalent) << res.mismatch;
+  EXPECT_EQ(res.registers_compared, 32u);
+  EXPECT_EQ(res.captures_compared, 512u);
+  EXPECT_EQ(res.sync_period, 300);
+  EXPECT_DOUBLE_EQ(res.desync_period, pin.desync_period);
+  EXPECT_DOUBLE_EQ(res.predicted_period, pin.predicted_period);
+  EXPECT_EQ(res.sync_setup_violations, 0u);
+  EXPECT_EQ(res.desync_setup_violations, 0u);
+  EXPECT_DOUBLE_EQ(res.sync_power_mw, 2.2670555555555558);
+  EXPECT_DOUBLE_EQ(res.sync_clock_power_mw, 1.219111111111111);
+  EXPECT_DOUBLE_EQ(res.desync_power_mw, pin.desync_power_mw);
+  EXPECT_DOUBLE_EQ(res.desync_ctl_power_mw, pin.desync_ctl_power_mw);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pipe4x8, PinnedFlowEquivalence,
+    ::testing::Values(
+        PinnedFlowEq{ctl::Protocol::Lockstep, 936.06132879045992, 644,
+                     1.4992383636363635, 1.0818899090909093},
+        PinnedFlowEq{ctl::Protocol::SemiDecoupled, 803.05259313367424, 644,
+                     1.5364613636363633, 1.0488474545454547},
+        PinnedFlowEq{ctl::Protocol::FullyDecoupled, 636.96407879490152, 482,
+                     1.8897401818181823, 1.2760212727272722},
+        PinnedFlowEq{ctl::Protocol::Pulse, 458.01249999999999, 464,
+                     2.3299477727272739, 1.478611045454546}),
+    [](const ::testing::TestParamInfo<PinnedFlowEq>& info) {
+      return protocol_suffix(info.param.protocol);
     });
 
 class FlowConformance : public ::testing::TestWithParam<ctl::Protocol> {};

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <tuple>
 
 #include "circuits/circuits.h"
 #include "core/desynchronizer.h"
@@ -475,6 +477,168 @@ TEST(Sim, StimulusAcrossRunsKeepsFifoOrder) {
   sim.set_input(a, V::V0, 5000);  // same instant, scheduled later
   sim.run_until(10000);
   EXPECT_EQ(sim.value(a), V::V0);  // later-scheduled value wins the tie
+}
+
+/// Every applied change of the watched nets: (time, net name, value).
+using WatchLog = std::vector<std::tuple<Ps, std::string, char>>;
+
+void log_changes(Simulator& sim, std::initializer_list<NetId> nets,
+                 WatchLog& log) {
+  const Netlist& netl = sim.netlist();
+  for (NetId n : nets) {
+    sim.watch(n, [&log, &netl, n](Ps at, V v) {
+      log.emplace_back(at, netl.net(n).name, cell::to_char(v));
+    });
+  }
+}
+
+TEST(Sim, SameTimestampBurstKeepsFifoOrder) {
+  // Several stimulus events on two inputs at one picosecond, including
+  // repeated changes of the same net: they apply in scheduling order (the
+  // watchers see every intermediate value) and the last one wins. One-ps
+  // pulses are narrower than a buffer delay and never reach its output.
+  Netlist netl("burst");
+  Builder b(netl);
+  NetId a = b.input("a");
+  NetId c = b.input("c");
+  NetId ya = b.buf(a, "ya");
+  NetId yc = b.buf(c, "yc");
+  NetId both = b.and_({ya, yc}, "both");
+  b.output(both);
+  const cell::Tech& t = cell::Tech::generic90();
+
+  Simulator sim(netl, t);
+  WatchLog log;
+  log_changes(sim, {a, c, ya, yc, both}, log);
+  for (Ps at : {Ps{0}, Ps{1'000}, Ps{1'000}, Ps{2'500}}) {
+    sim.set_input(a, V::V1, at);
+    sim.set_input(c, V::V1, at);
+    sim.set_input(a, V::V0, at);
+    sim.set_input(c, V::V0, at + 1);
+    sim.set_input(a, V::V1, at + 1);
+  }
+  sim.run_until(10'000);
+
+  const Ps buf = t.delay(Kind::Buf, 1, 1);
+  const Ps and2 = t.delay(Kind::And, 2, 0);
+  const WatchLog expected = {
+      {0, "a", '1'},           {0, "c", '1'},    {0, "a", '0'},
+      {1, "c", '0'},           {1, "a", '1'},    {1 + buf, "yc", '0'},
+      {1 + buf, "ya", '1'},    {1 + buf + and2, "both", '0'},
+      {1'000, "c", '1'},       {1'000, "a", '0'}, {1'000, "a", '1'},
+      {1'000, "a", '0'},       {1'001, "c", '0'}, {1'001, "a", '1'},
+      {2'500, "c", '1'},       {2'500, "a", '0'}, {2'501, "c", '0'},
+      {2'501, "a", '1'},
+  };
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(sim.value(a), V::V1);
+  EXPECT_EQ(sim.value(c), V::V0);
+  EXPECT_EQ(sim.value(both), V::V0);
+}
+
+TEST(Sim, WatcherStimulusAtCurrentTimeAppliesSameTimestamp) {
+  // A watcher may schedule stimulus at the current time (flow equivalence
+  // applies each new input vector that way). It applies within the same
+  // timestamp, after the change that fired the watcher.
+  Netlist netl("react");
+  Builder b(netl);
+  NetId a = b.input("a");
+  NetId c = b.input("c");
+  NetId y = b.buf(c, "y");
+  b.output(y);
+  b.output(b.buf(a, "ya"));
+  const cell::Tech& t = cell::Tech::generic90();
+
+  Simulator sim(netl, t);
+  WatchLog log;
+  log_changes(sim, {a, c, y}, log);
+  sim.watch(a, [&](Ps, V v) {
+    if (v == V::V1) sim.set_input(c, V::V1, sim.now());
+  });
+  sim.set_input(c, V::V0, 0);
+  sim.set_input(a, V::V1, 500);
+  sim.run_until(2'000);
+
+  const Ps buf = t.delay(Kind::Buf, 1, 1);
+  const WatchLog expected = {
+      {0, "c", '0'},
+      {buf, "y", '0'},
+      {500, "a", '1'},
+      {500, "c", '1'},
+      {500 + buf, "y", '1'},
+  };
+  EXPECT_EQ(log, expected);
+}
+
+TEST(Sim, DffCaptureCoincidentWithDataChange) {
+  // The clock edge lands at the very picosecond D changes. Every event of
+  // a timestamp commits before any cell evaluates, so the flip-flop
+  // captures the new D and records a setup violation of slack -setup.
+  Netlist netl("coincident");
+  Builder b(netl);
+  NetId d = b.input("d");
+  NetId ck = b.input("ck");
+  NetId x = b.buf(d, "x");
+  NetId q = b.dff(x, ck, V::V0, "q");
+  b.output(q);
+  const cell::Tech& t = cell::Tech::generic90();
+  const Ps x_change = 1'000 + t.delay(Kind::Buf, 1, 1);
+
+  Simulator sim(netl, t);
+  WatchLog log;
+  log_changes(sim, {x, ck, q}, log);
+  sim.set_input(d, V::V0, 0);
+  sim.set_input(ck, V::V0, 0);
+  sim.set_input(d, V::V1, 1'000);
+  sim.set_input(ck, V::V1, x_change);  // rises exactly as x commits
+  sim.run_until(10'000);
+
+  const Ps dff = t.delay(Kind::Dff, 2, 0);
+  const WatchLog expected = {
+      {0, "ck", '0'},
+      {x_change - 1'000, "x", '0'},
+      {x_change, "ck", '1'},  // scheduled before x's event: FIFO
+      {x_change, "x", '1'},
+      {x_change + dff, "q", '1'},
+  };
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(sim.value(q), V::V1);
+  ASSERT_EQ(sim.setup_violation_count(), 1u);
+  const SetupViolation& v = sim.setup_violations().front();
+  EXPECT_EQ(v.at, x_change);
+  EXPECT_EQ(v.cell.value(), netl.find_cell("q").value());
+  EXPECT_EQ(v.data_net.value(), x.value());
+  EXPECT_EQ(v.slack, -t.dff_setup());
+}
+
+TEST(Sim, ChunkedRunMatchesOneShotSelfTimed) {
+  // Chunked run_until() on a desynchronized circuit: run boundaries land
+  // mid-flight of in-progress handshakes (the chunk sizes do not divide
+  // the horizon), and the trajectory must not notice.
+  circuits::Circuit c = circuits::pipeline(4, 8, 2);
+  const cell::Tech& t = cell::Tech::generic90();
+  flow::DesyncResult dr = flow::desynchronize(c.netlist, c.clock, t);
+  constexpr Ps kHorizon = 30'000;
+
+  auto run = [&](Ps chunk) {
+    Simulator sim(dr.netlist, t);
+    uint64_t word = 0x5a;
+    for (Ps at = 0; at < kHorizon; at += 4'100) {
+      poke_word(sim, dr.netlist.inputs(), word, at);
+      word = word * 2862933555777941757ull + 3037000493ull;
+    }
+    if (chunk > 0) {
+      for (Ps at = chunk; at < kHorizon; at += chunk) sim.run_until(at);
+    }
+    sim.run_until(kHorizon);
+    return SimTrace::of(sim);
+  };
+  const SimTrace once = run(0);
+  EXPECT_GT(once.events, 1'000u);
+  for (Ps chunk : {Ps{997}, Ps{7'001}}) {
+    SCOPED_TRACE(cat("chunk=", chunk));
+    EXPECT_TRUE(once == run(chunk));
+  }
 }
 
 TEST(Sim, RunUntilQuietMatchesBoundedRun) {

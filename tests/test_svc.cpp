@@ -108,6 +108,27 @@ TEST(SvcProtocol, SuccessResponseAndResultCache) {
   EXPECT_EQ(extract_result(cold), extract_result(warm));
 }
 
+TEST(SvcProtocol, LegacySimJobsFieldIsIgnored) {
+  // Older desyn-svc-v1 clients may still send the simulator job count
+  // that the protocol no longer has. The server ignores keys it does not
+  // read, so such a line is answered byte for byte like the same line
+  // without the field, cold and cached alike.
+  const std::string plain =
+      make_request(nl::to_verilog(pipeline3()), "clk", "prefix", 1.1, "pulse");
+  ASSERT_EQ(plain.back(), '}');
+  const std::string legacy =
+      plain.substr(0, plain.size() - 1) + ", \"sim_jobs\": 4}";
+
+  Server a(Tech::generic90(), options(fresh_socket("legacy-a")));
+  Server b(Tech::generic90(), options(fresh_socket("legacy-b")));
+  const std::string cold = a.handle_request(plain);
+  EXPECT_NE(cold.find("\"cached\": false"), std::string::npos);
+  EXPECT_EQ(b.handle_request(legacy), cold);
+  const std::string warm = a.handle_request(plain);
+  EXPECT_NE(warm.find("\"cached\": true"), std::string::npos);
+  EXPECT_EQ(a.handle_request(legacy), warm);
+}
+
 TEST(SvcProtocol, LintRequestEmbedsReport) {
   Server server(Tech::generic90(), options(fresh_socket("lint")));
   std::string req =
