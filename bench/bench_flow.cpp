@@ -89,20 +89,21 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
 int main(int argc, char** argv) {
   std::string json_path;
   double min_speedup = 0;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--json") {
-      json_path = cli::need_value(argc, argv, i, "--json");
-    } else if (a == "--min-speedup") {
-      min_speedup = cli::parse_nonneg(
-          cli::need_value(argc, argv, i, "--min-speedup"),
-          "--min-speedup value");
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_flow [--json <path>] [--min-speedup X]\n");
-      return 2;
-    }
-  }
+  cli::parse_args_or_exit(
+      "bench_flow [--json <path>] [--min-speedup X]", [&] {
+        for (int i = 1; i < argc; ++i) {
+          std::string a = argv[i];
+          if (a == "--json") {
+            json_path = cli::need_value(argc, argv, i, "--json");
+          } else if (a == "--min-speedup") {
+            min_speedup = cli::parse_nonneg(
+                cli::need_value(argc, argv, i, "--min-speedup"),
+                "--min-speedup value");
+          } else {
+            fail("unknown argument '", a, "'");
+          }
+        }
+      });
 
   const cell::Tech& tech = cell::Tech::generic90();
   circuits::Circuit base = circuits::register_mesh(16, 16, 1);

@@ -55,15 +55,16 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
 
 int main(int argc, char** argv) {
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--json") {
-      json_path = cli::need_value(argc, argv, i, "--json");
-    } else {
-      std::fprintf(stderr, "usage: bench_margin [--json <path>]\n");
-      return 2;
+  cli::parse_args_or_exit("bench_margin [--json <path>]", [&] {
+    for (int i = 1; i < argc; ++i) {
+      std::string a = argv[i];
+      if (a == "--json") {
+        json_path = cli::need_value(argc, argv, i, "--json");
+      } else {
+        fail("unknown argument '", a, "'");
+      }
     }
-  }
+  });
 
   const Tech& t = Tech::generic90();
   std::vector<Row> rows;

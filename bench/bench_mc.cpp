@@ -78,24 +78,25 @@ int main(int argc, char** argv) {
   size_t samples = 256;
   std::string json_path;
   double min_speedup = 0;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--samples") {
-      samples = static_cast<size_t>(cli::parse_count(
-          cli::need_value(argc, argv, i, "--samples"), "--samples value"));
-    } else if (a == "--json") {
-      json_path = cli::need_value(argc, argv, i, "--json");
-    } else if (a == "--min-speedup") {
-      min_speedup = cli::parse_nonneg(
-          cli::need_value(argc, argv, i, "--min-speedup"),
-          "--min-speedup value");
-    } else {
-      std::fprintf(
-          stderr,
-          "usage: bench_mc [--samples N] [--json <path>] [--min-speedup X]\n");
-      return 2;
-    }
-  }
+  cli::parse_args_or_exit(
+      "bench_mc [--samples N] [--json <path>] [--min-speedup X]", [&] {
+        for (int i = 1; i < argc; ++i) {
+          std::string a = argv[i];
+          if (a == "--samples") {
+            samples = static_cast<size_t>(
+                cli::parse_count(cli::need_value(argc, argv, i, "--samples"),
+                                 "--samples value"));
+          } else if (a == "--json") {
+            json_path = cli::need_value(argc, argv, i, "--json");
+          } else if (a == "--min-speedup") {
+            min_speedup = cli::parse_nonneg(
+                cli::need_value(argc, argv, i, "--min-speedup"),
+                "--min-speedup value");
+          } else {
+            fail("unknown argument '", a, "'");
+          }
+        }
+      });
 
   const cell::Tech& tech = cell::Tech::generic90();
   circuits::Circuit c = circuits::register_mesh(16, 16, 1);

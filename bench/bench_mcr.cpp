@@ -86,15 +86,16 @@ void write_json(const std::string& path, const std::vector<RaceRow>& rows) {
 
 int main(int argc, char** argv) {
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--json") {
-      json_path = cli::need_value(argc, argv, i, "--json");
-    } else {
-      fprintf(stderr, "usage: bench_mcr [--json <path>]\n");
-      return 2;
+  cli::parse_args_or_exit("bench_mcr [--json <path>]", [&] {
+    for (int i = 1; i < argc; ++i) {
+      std::string a = argv[i];
+      if (a == "--json") {
+        json_path = cli::need_value(argc, argv, i, "--json");
+      } else {
+        fail("unknown argument '", a, "'");
+      }
     }
-  }
+  });
   const Tech& t = Tech::generic90();
   printf("== A3: analytic (max-cycle-ratio) vs. measured desync period ==\n\n");
   printf("  %-16s %12s %12s %8s\n", "circuit", "analytic", "measured", "err");

@@ -132,31 +132,39 @@ int main(int argc, char** argv) {
   std::vector<std::string> only;
   std::vector<std::string> strategies = {"prefix",    "perff",     "single",
                                          "auto:1.02", "auto:1.05", "auto:1.2"};
+  std::vector<flow::PartitionSpec> specs;  // strategies, parsed
   std::string json_path;
   int opt_jobs = 1;
   double budget_ms = 0;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--only") {
-      only = cli::split_list(cli::need_value(argc, argv, i, "--only"));
-    } else if (a == "--strategies") {
-      strategies =
-          cli::split_list(cli::need_value(argc, argv, i, "--strategies"));
-    } else if (a == "--json") {
-      json_path = cli::need_value(argc, argv, i, "--json");
-    } else if (a == "--opt-jobs") {
-      opt_jobs = cli::parse_count(
-          cli::need_value(argc, argv, i, "--opt-jobs"), "--opt-jobs value");
-    } else if (a == "--budget-ms") {
-      budget_ms = cli::parse_nonneg(
-          cli::need_value(argc, argv, i, "--budget-ms"), "--budget-ms value");
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_partition [--only d1,d2] [--strategies s1,s2] "
-                   "[--opt-jobs N] [--json <path>] [--budget-ms M]\n");
-      return 2;
-    }
-  }
+  cli::parse_args_or_exit(
+      "bench_partition [--only d1,d2] [--strategies s1,s2] [--opt-jobs N] "
+      "[--json <path>] [--budget-ms M]",
+      [&] {
+        for (int i = 1; i < argc; ++i) {
+          std::string a = argv[i];
+          if (a == "--only") {
+            only = cli::split_list(cli::need_value(argc, argv, i, "--only"));
+          } else if (a == "--strategies") {
+            strategies = cli::split_list(
+                cli::need_value(argc, argv, i, "--strategies"));
+          } else if (a == "--json") {
+            json_path = cli::need_value(argc, argv, i, "--json");
+          } else if (a == "--opt-jobs") {
+            opt_jobs =
+                cli::parse_count(cli::need_value(argc, argv, i, "--opt-jobs"),
+                                 "--opt-jobs value");
+          } else if (a == "--budget-ms") {
+            budget_ms = cli::parse_nonneg(
+                cli::need_value(argc, argv, i, "--budget-ms"),
+                "--budget-ms value");
+          } else {
+            fail("unknown argument '", a, "'");
+          }
+        }
+        for (const std::string& s : strategies) {
+          specs.push_back(flow::PartitionSpec::parse(s));
+        }
+      });
 
   const cell::Tech& tech = cell::Tech::generic90();
   const ctl::Protocol protocol = ctl::Protocol::SemiDecoupled;
@@ -171,12 +179,13 @@ int main(int argc, char** argv) {
   bool over_budget = false;
   for (Design& d : designs(only)) {
     double prefix_period = 0;
-    for (const std::string& strat : strategies) {
+    for (size_t k = 0; k < strategies.size(); ++k) {
+      const std::string& strat = strategies[k];
       Case c;
       c.design = d.name;
       c.strategy = strat;
       flow::DesyncOptions opt;
-      opt.strategy = flow::PartitionSpec::parse(strat);
+      opt.strategy = specs[k];
       opt.protocol = protocol;
       opt.opt_jobs = opt_jobs;
       c.is_auto = opt.strategy.mode == flow::PartitionSpec::Mode::Auto;

@@ -1,5 +1,7 @@
 #include "base/cli_args.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "base/common.h"
@@ -72,6 +74,16 @@ std::vector<flow::PartitionSpec> parse_strategies(const std::string& list) {
 std::string need_value(int argc, char** argv, int& i, const char* flag) {
   if (i + 1 >= argc) fail(flag, " needs a value");
   return argv[++i];
+}
+
+void parse_args_or_exit(const char* usage,
+                        const std::function<void()>& parse) {
+  try {
+    parse();
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\nusage: %s\n", e.what(), usage);
+    std::exit(2);
+  }
 }
 
 }  // namespace desyn::cli

@@ -11,6 +11,7 @@
 // vocabulary — it is a CLI-facade helper, not base infrastructure.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -40,5 +41,11 @@ std::vector<flow::PartitionSpec> parse_strategies(const std::string& list);
 /// The `--flag value` idiom: returns argv[i+1] and advances i, or fails
 /// with "<flag> needs a value" when the list ends at the flag.
 std::string need_value(int argc, char** argv, int& i, const char* flag);
+
+/// The guarded argv loop of a bench main. `parse` walks argv and throws
+/// desyn::Error on a bad command line (a flag missing its value, a
+/// malformed count, an unknown argument via fail()); the guard prints
+/// "error: <what>" and `usage` to stderr and exits with status 2.
+void parse_args_or_exit(const char* usage, const std::function<void()>& parse);
 
 }  // namespace desyn::cli

@@ -5,12 +5,14 @@
 // types (EDA data-structure corruption must never propagate silently).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace desyn {
@@ -23,21 +25,81 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
-inline void cat_into(std::ostringstream&) {}
-template <typename T, typename... Rest>
-void cat_into(std::ostringstream& os, const T& v, const Rest&... rest) {
-  os << v;
-  cat_into(os, rest...);
+
+/// An integer rendered in decimal by std::to_chars, held by value.
+struct IntPiece {
+  char buf[20];  // INT64_MIN and UINT64_MAX both fit
+  uint8_t len;
+  std::string_view view() const { return {buf, len}; }
+};
+
+/// A single character (char / signed char / unsigned char, which ostream
+/// prints as the character, not its code).
+struct CharPiece {
+  char c;
+  std::string_view view() const { return {&c, 1}; }
+};
+
+inline std::string_view view_of(std::string_view s) { return s; }
+inline std::string_view view_of(const std::string& s) { return s; }
+inline std::string_view view_of(const IntPiece& p) { return p.view(); }
+inline std::string_view view_of(const CharPiece& p) { return p.view(); }
+
+template <typename T>
+inline constexpr bool is_char_v =
+    std::is_same_v<T, char> || std::is_same_v<T, signed char> ||
+    std::is_same_v<T, unsigned char>;
+
+/// One cat() argument as a piece of text: strings by view, integers by
+/// std::to_chars, characters and bools exactly as an ostream prints them,
+/// everything else (floating point, Id, enums) through an ostringstream.
+template <typename T>
+auto piece(const T& v) {
+  using D = std::decay_t<T>;
+  if constexpr (std::is_same_v<D, std::string>) {
+    return std::string_view(v);
+  } else if constexpr (std::is_same_v<D, std::string_view>) {
+    return v;
+  } else if constexpr (std::is_array_v<T> &&
+                       std::is_same_v<std::remove_cv_t<std::remove_extent_t<T>>,
+                                      char>) {
+    return std::string_view(v);
+  } else if constexpr (std::is_same_v<D, const char*> ||
+                       std::is_same_v<D, char*>) {
+    return v ? std::string_view(v) : std::string_view();
+  } else if constexpr (std::is_same_v<D, bool>) {
+    return std::string_view(v ? "1" : "0");
+  } else if constexpr (is_char_v<D>) {
+    return CharPiece{static_cast<char>(v)};
+  } else if constexpr (std::is_integral_v<D>) {
+    IntPiece p;
+    p.len = static_cast<uint8_t>(
+        std::to_chars(p.buf, p.buf + sizeof p.buf, v).ptr - p.buf);
+    return p;
+  } else {
+    std::ostringstream os;
+    os << v;
+    return std::move(os).str();
+  }
 }
+
+template <typename... Pieces>
+std::string join_pieces(const Pieces&... pieces) {
+  std::string out;
+  out.reserve((size_t{0} + ... + view_of(pieces).size()));
+  (out.append(view_of(pieces)), ...);
+  return out;
+}
+
 }  // namespace detail
 
-/// Concatenate arbitrary streamable values into a std::string.
+/// Concatenate arbitrary streamable values into a std::string, rendered as
+/// one ostream would render them in sequence. The result is allocated once,
+/// at its exact length.
 /// (gcc 12 has no std::format; this is the project-wide substitute.)
 template <typename... Args>
 std::string cat(const Args&... args) {
-  std::ostringstream os;
-  detail::cat_into(os, args...);
-  return os.str();
+  return detail::join_pieces(detail::piece(args)...);
 }
 
 [[noreturn]] void assert_fail(const char* expr, const char* file, int line,

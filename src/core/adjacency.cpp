@@ -216,14 +216,14 @@ AdjacencyResult extract_control_graph(const nl::Netlist& nl,
   // unobservable).
   for (size_t i = 0; i < lr.banks.size(); ++i) {
     int bank = static_cast<int>(i);
-    if (res.cg.preds(bank).empty()) {
+    if (res.cg.in_edges(bank).empty()) {
       if (lr.banks[i].even) {
         res.cg.add_edge(res.env_src, bank, 0);
       } else {
         res.cg.add_edge(res.env_snk, bank, 0);
       }
     }
-    if (res.cg.succs(bank).empty()) {
+    if (res.cg.out_edges(bank).empty()) {
       if (lr.banks[i].even) {
         res.cg.add_edge(bank, res.env_src, 0);
       } else {

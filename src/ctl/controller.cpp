@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 
 #include "pn/analysis.h"
 
@@ -31,8 +32,7 @@ std::vector<nl::NetId> celem_tree(nl::Netlist& nl, ControllerNetwork& net,
                          k / cell::kMaxArity));
       nl::CellId jc = nl.add_cell(
           cell::Kind::CElem, "",
-          std::vector<nl::NetId>(inputs.begin() + static_cast<long>(k),
-                                 inputs.begin() + static_cast<long>(k + n)),
+          nl::InPins(std::span<const nl::NetId>(inputs).subspan(k, n)),
           {join}, init);
       net.cells.push_back(jc);
       net.control_nets.push_back(join);
@@ -52,8 +52,8 @@ nl::NetId join_to_one(nl::Netlist& nl, ControllerNetwork& net,
   inputs = celem_tree(nl, net, std::move(inputs), name, init);
   if (inputs.size() == 1) return inputs[0];
   nl::NetId j = nl.add_net(cat("ctl.", name, ".join"));
-  net.cells.push_back(nl.add_cell(cell::Kind::CElem, "", std::move(inputs),
-                                  {j}, init));
+  net.cells.push_back(
+      nl.add_cell(cell::Kind::CElem, "", nl::InPins(inputs), {j}, init));
   net.control_nets.push_back(j);
   return j;
 }
@@ -89,6 +89,7 @@ ControllerNetwork synthesize_pulse(nl::Builder& b, const ControlGraph& cg,
                                    const cell::Tech& tech) {
   nl::Netlist& nl = b.netlist();
   ControllerNetwork net;
+  const auto& edges = cg.edges();
 
   // Pre-create round nets so cross references resolve in any bank order.
   for (size_t i = 0; i < cg.num_banks(); ++i) {
@@ -109,8 +110,8 @@ ControllerNetwork synthesize_pulse(nl::Builder& b, const ControlGraph& cg,
     // the paper's per-block matched delay.
     std::vector<nl::NetId> pred_tokens;
     Ps worst = 0;
-    for (const ControlGraph::Edge& e : cg.edges()) {
-      if (e.to != bank) continue;
+    for (int ei : cg.in_edges(bank)) {
+      const ControlGraph::Edge& e = edges[static_cast<size_t>(ei)];
       pred_tokens.push_back(net.rounds[static_cast<size_t>(e.from)]);
       worst = std::max(worst, e.matched_delay);
     }
@@ -133,8 +134,8 @@ ControllerNetwork synthesize_pulse(nl::Builder& b, const ControlGraph& cg,
       inputs.push_back(tap);
     }
     // Successor round tokens through buffers (spatial wiring).
-    for (const ControlGraph::Edge& e : cg.edges()) {
-      if (e.from != bank) continue;
+    for (int ei : cg.out_edges(bank)) {
+      const ControlGraph::Edge& e = edges[static_cast<size_t>(ei)];
       nl::NetId ack =
           nl.add_net(cat("ctl.", cg.bank(e.to).name, ".ack.to.", bname));
       nl::CellId bc = nl.add_cell(cell::Kind::Buf, "",
@@ -162,8 +163,8 @@ ControllerNetwork synthesize_pulse(nl::Builder& b, const ControlGraph& cg,
     inputs = celem_tree(nl, net, std::move(inputs), bname, init);
     if (inputs.size() == 1) inputs.push_back(inputs[0]);
 
-    nl::CellId c = nl.add_cell(cell::Kind::CElem, cat("ctl.", bname), inputs,
-                               {net.rounds[i]}, init);
+    nl::CellId c = nl.add_cell(cell::Kind::CElem, cat("ctl.", bname),
+                               nl::InPins(inputs), {net.rounds[i]}, init);
     net.cells.push_back(c);
 
     // Local pulse generator: La = XOR(R, buf^3(R)) pulses once per toggle;
@@ -333,7 +334,7 @@ ControllerNetwork synthesize_level(nl::Builder& b, const ControlGraph& cg,
       }
       if (inputs.size() == 1) inputs.push_back(inputs[0]);  // C(a,a)
       net.cells.push_back(nl.add_cell(cell::Kind::CElem, cat("ctl.", tname),
-                                      std::move(inputs), {s[i][sign]},
+                                      nl::InPins(inputs), {s[i][sign]},
                                       cell::V::V0));
     }
 

@@ -40,6 +40,8 @@ int first_fire_index(Protocol p, bool even, bool plus) {
 
 int ControlGraph::add_bank(std::string name, bool even) {
   banks_.push_back(Bank{std::move(name), even});
+  in_edges_.emplace_back();
+  out_edges_.emplace_back();
   return static_cast<int>(banks_.size()) - 1;
 }
 
@@ -62,21 +64,23 @@ int ControlGraph::add_edge(int from, int to, Ps matched_delay) {
     return it->second;
   }
   edges_.push_back(Edge{from, to, matched_delay});
+  in_edges_[static_cast<size_t>(to)].push_back(it->second);
+  out_edges_[static_cast<size_t>(from)].push_back(it->second);
   return it->second;
 }
 
 std::vector<int> ControlGraph::preds(int bank) const {
   std::vector<int> out;
-  for (const Edge& e : edges_) {
-    if (e.to == bank) out.push_back(e.from);
+  for (int e : in_edges(bank)) {
+    out.push_back(edges_[static_cast<size_t>(e)].from);
   }
   return out;
 }
 
 std::vector<int> ControlGraph::succs(int bank) const {
   std::vector<int> out;
-  for (const Edge& e : edges_) {
-    if (e.from == bank) out.push_back(e.to);
+  for (int e : out_edges(bank)) {
+    out.push_back(edges_[static_cast<size_t>(e)].to);
   }
   return out;
 }

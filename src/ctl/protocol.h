@@ -88,6 +88,13 @@ class ControlGraph {
   size_t num_banks() const { return banks_.size(); }
   const Bank& bank(int i) const { return banks_[static_cast<size_t>(i)]; }
   const std::vector<Edge>& edges() const { return edges_; }
+  /// Indices into edges() of the edges into / out of `bank`, in edge order.
+  const std::vector<int>& in_edges(int bank) const {
+    return in_edges_[static_cast<size_t>(bank)];
+  }
+  const std::vector<int>& out_edges(int bank) const {
+    return out_edges_[static_cast<size_t>(bank)];
+  }
   std::vector<int> preds(int bank) const;
   std::vector<int> succs(int bank) const;
   int find_bank(std::string_view name) const;
@@ -101,6 +108,8 @@ class ControlGraph {
   /// (from << 32 | to) -> index into edges_: keeps add_edge O(1) so graph
   /// construction stays linear even for the optimizer's quotient rebuilds.
   std::unordered_map<uint64_t, int> edge_index_;
+  std::vector<std::vector<int>> in_edges_;   ///< per bank, see in_edges()
+  std::vector<std::vector<int>> out_edges_;  ///< per bank, see out_edges()
 };
 
 /// Transition pair of one bank in a protocol MG.

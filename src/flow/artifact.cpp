@@ -148,13 +148,15 @@ ArtifactStore::Ptr ArtifactStore::get(std::string_view kind,
 }
 
 void ArtifactStore::put(std::string_view kind, const Hash256& key, Ptr value,
-                        const std::string& serialized) {
+                        const Serializer& serialize) {
   DESYN_ASSERT(value != nullptr);
   {
     std::lock_guard<std::mutex> lock(mu_);
     insert_locked(cat(kind, ":", key.hex()), std::move(value));
   }
-  if (opt_.dir.empty() || serialized.empty()) return;
+  if (opt_.dir.empty() || !serialize) return;
+  std::string serialized = serialize();
+  if (serialized.empty()) return;
   // Atomic, durable publish: write a uniquely-named tmp file, fsync it,
   // then rename into place. The fsync must precede the rename — rename is
   // metadata-only on most filesystems, so without it a crash after the

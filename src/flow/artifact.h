@@ -55,6 +55,9 @@ class ArtifactStore {
   /// Rebuild an artifact from a disk body (header already stripped and
   /// verified). Return nullptr or throw to reject the entry as corrupt.
   using Deserializer = std::function<Ptr(const std::string& body)>;
+  /// Render an artifact's disk body. Called only when there is a disk
+  /// tier; an empty body keeps the artifact out of it.
+  using Serializer = std::function<std::string()>;
 
   struct Options {
     size_t capacity = 96;       ///< in-memory entries before LRU eviction
@@ -82,10 +85,11 @@ class ArtifactStore {
   Ptr get(std::string_view kind, const Hash256& key,
           const Deserializer& des = {});
 
-  /// Publish an artifact. With a disk tier and non-empty `serialized`,
-  /// the body is also written to disk under an integrity header.
+  /// Publish an artifact. With a disk tier and a serializer, the body it
+  /// renders (if non-empty) is also written to disk under an integrity
+  /// header.
   void put(std::string_view kind, const Hash256& key, Ptr value,
-           const std::string& serialized = {});
+           const Serializer& serialize = {});
 
   Stats stats() const;
   size_t size() const;

@@ -511,9 +511,10 @@ Engine::Stages Engine::run_stages(const nl::Netlist& ff, nl::NetId clock,
         ++counters_.partition_runs;
       }
       auto pa = std::make_shared<PartArtifact>(std::move(p));
-      store_.put("partition", part_key, pa,
-                 is_auto ? serialize_partition(pa->partition, ff)
-                         : std::string());
+      // Fixed strategies are cheap to redo: only auto partitions go to disk.
+      ArtifactStore::Serializer ser;
+      if (is_auto) ser = [&] { return serialize_partition(pa->partition, ff); };
+      store_.put("partition", part_key, pa, ser);
       a = pa;
     }
     part = std::static_pointer_cast<const PartArtifact>(a);
@@ -625,7 +626,8 @@ Engine::Stages Engine::run_stages(const nl::Netlist& ff, nl::NetId clock,
       }
       auto aa = std::make_shared<AdjArtifact>(std::move(ar));
       aa->cg_hash = control_graph_hash(aa->adj);
-      store_.put("adjacency", adj_key, aa, serialize_adjacency(aa->adj));
+      store_.put("adjacency", adj_key, aa,
+                 [&] { return serialize_adjacency(aa->adj); });
       adj = aa;
     }
   }
@@ -919,11 +921,7 @@ FlowOutcome Engine::run(const nl::Netlist& ff, nl::NetId clock,
 
   const DesyncResult& dr = st.synth->result;
   auto ra = std::make_shared<ResultArtifact>();
-  {
-    std::ostringstream os;
-    nl::write_verilog(dr.netlist, os);
-    ra->verilog = std::make_shared<const std::string>(std::move(os).str());
-  }
+  ra->verilog = std::make_shared<const std::string>(nl::to_verilog(dr.netlist));
   // The same cost split verif::check_flow_equivalence reports.
   ra->stats.banks = dr.cg.num_banks();
   ra->stats.controller_cells = dr.ctrl.cells.size() - dr.ctrl.delay_units;
@@ -931,7 +929,7 @@ FlowOutcome Engine::run(const nl::Netlist& ff, nl::NetId clock,
   ra->stats.cells_in = ff.num_live_cells();
   ra->stats.cells_out = dr.netlist.num_live_cells();
   ra->stats.predicted_period_ps = mcr->period;
-  store_.put("result", result_key, ra, serialize_result(*ra));
+  store_.put("result", result_key, ra, [&] { return serialize_result(*ra); });
   return {ra->verilog, ra->stats, false};
 }
 

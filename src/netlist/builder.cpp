@@ -19,8 +19,8 @@ std::string Builder::scoped(std::string_view name) const {
   return prefix_ + std::string(name);
 }
 
-NetId Builder::cell1(cell::Kind k, std::vector<NetId> ins,
-                     std::string_view name, cell::V init) {
+NetId Builder::cell1(cell::Kind k, InPins ins, std::string_view name,
+                     cell::V init) {
   // Named constructions name both the net and the cell (nets and cells live
   // in separate namespaces); bank grouping keys off the cell name.
   NetId out = nl_.add_net(name.empty() ? "" : scoped(name));
@@ -72,14 +72,12 @@ NetId Builder::tree(cell::Kind outer, cell::Kind inner,
         next.push_back(level[i]);
       } else {
         next.push_back(cell1(
-            inner, std::vector<NetId>(level.begin() + static_cast<long>(i),
-                                      level.begin() + static_cast<long>(i + n)),
-            ""));
+            inner, InPins(std::span<const NetId>(level).subspan(i, n)), ""));
       }
     }
     level = std::move(next);
   }
-  return cell1(outer, std::move(level), name);
+  return cell1(outer, InPins(level), name);
 }
 
 NetId Builder::and_(std::span<const NetId> ins, std::string_view name) {
@@ -115,8 +113,7 @@ NetId Builder::celem(std::span<const NetId> ins, cell::V init,
                      std::string_view name) {
   DESYN_ASSERT(ins.size() >= 2 && static_cast<int>(ins.size()) <= cell::kMaxArity,
                "C-element arity out of range");
-  return cell1(cell::Kind::CElem, std::vector<NetId>(ins.begin(), ins.end()),
-               name, init);
+  return cell1(cell::Kind::CElem, InPins(ins), name, init);
 }
 
 NetId Builder::gc(NetId set, NetId reset, cell::V init, std::string_view name) {
@@ -144,8 +141,7 @@ std::vector<NetId> Builder::rom(std::span<const NetId> addr, int width,
   for (int i = 0; i < width; ++i) {
     outs.push_back(nl_.add_net(scoped(cat(name, "_d", i))));
   }
-  nl_.add_cell(cell::Kind::Rom, scoped(name),
-               std::vector<NetId>(addr.begin(), addr.end()), outs,
+  nl_.add_cell(cell::Kind::Rom, scoped(name), InPins(addr), OutPins(outs),
                cell::V::V0, pl, static_cast<uint16_t>(addr.size()),
                static_cast<uint16_t>(width));
   return outs;
@@ -172,7 +168,7 @@ std::vector<NetId> Builder::ram(NetId ck, NetId we,
   for (int i = 0; i < width; ++i) {
     outs.push_back(nl_.add_net(scoped(cat(name, "_rd", i))));
   }
-  nl_.add_cell(cell::Kind::Ram, scoped(name), std::move(ins), outs,
+  nl_.add_cell(cell::Kind::Ram, scoped(name), InPins(ins), OutPins(outs),
                cell::V::V0, pl, static_cast<uint16_t>(waddr.size()),
                static_cast<uint16_t>(width));
   return outs;

@@ -102,7 +102,7 @@ class Builder {
   NetId unary(cell::Kind k, NetId a, std::string_view name);
   NetId tree(cell::Kind outer, cell::Kind inner, std::span<const NetId> ins,
              std::string_view name);
-  NetId cell1(cell::Kind k, std::vector<NetId> ins, std::string_view name,
+  NetId cell1(cell::Kind k, InPins ins, std::string_view name,
               cell::V init = cell::V::V0);
 
   Netlist& nl_;

@@ -4,24 +4,29 @@
 
 namespace desyn::nl {
 
+static_assert(NetId(NameIndex::kAbsent) == NetId::invalid() &&
+              CellId(NameIndex::kAbsent) == CellId::invalid());
+
 std::string Netlist::unique_net_name(std::string base) {
   if (base.empty()) base = cat("n", auto_name_counter_++);
-  while (net_by_name_.count(base)) base = cat(base, "_", auto_name_counter_++);
+  while (net_index_.find(base, net_name_of()) != NameIndex::kAbsent) {
+    base = cat(base, "_", auto_name_counter_++);
+  }
   return base;
 }
 
 std::string Netlist::unique_cell_name(std::string base) {
   if (base.empty()) base = cat("u", auto_name_counter_++);
-  while (cell_by_name_.count(base)) base = cat(base, "_", auto_name_counter_++);
+  while (cell_index_.find(base, cell_name_of()) != NameIndex::kAbsent) {
+    base = cat(base, "_", auto_name_counter_++);
+  }
   return base;
 }
 
 NetId Netlist::add_net(std::string name) {
   NetId id(static_cast<uint32_t>(nets_.size()));
-  NetData nd;
-  nd.name = unique_net_name(std::move(name));
-  net_by_name_[nd.name] = id.value();
-  nets_.push_back(std::move(nd));
+  nets_.push_back(NetData{unique_net_name(std::move(name)), {}, 0, {}});
+  net_index_.push(net_name_of());
   return id;
 }
 
@@ -39,10 +44,9 @@ void Netlist::mark_output(NetId net) {
   }
 }
 
-CellId Netlist::add_cell(cell::Kind kind, std::string name,
-                         std::vector<NetId> ins, std::vector<NetId> outs,
-                         cell::V init, int32_t payload, uint16_t p0,
-                         uint16_t p1) {
+CellId Netlist::add_cell(cell::Kind kind, std::string name, InPins ins,
+                         OutPins outs, cell::V init, int32_t payload,
+                         uint16_t p0, uint16_t p1) {
   const int want_in = cell::num_inputs(kind, static_cast<int>(ins.size()), p0, p1);
   const int want_out = cell::num_outputs(kind, p0, p1);
   DESYN_ASSERT(static_cast<int>(ins.size()) == want_in, "cell ", name, " (",
@@ -60,7 +64,6 @@ CellId Netlist::add_cell(cell::Kind kind, std::string name,
   cd.payload = payload;
   cd.p0 = p0;
   cd.p1 = p1;
-  cell_by_name_[cd.name] = id.value();
 
   for (uint16_t i = 0; i < cd.ins.size(); ++i) {
     net_mut(cd.ins[i]).fanout.push_back(Pin{id, i});
@@ -74,6 +77,7 @@ CellId Netlist::add_cell(cell::Kind kind, std::string name,
     nd.driver_pin = o;
   }
   cells_.push_back(std::move(cd));
+  cell_index_.push(cell_name_of());
   ++live_cells_;
   return id;
 }
@@ -111,13 +115,11 @@ void Netlist::remove_cell(CellId c) {
 }
 
 NetId Netlist::find_net(std::string_view name) const {
-  auto it = net_by_name_.find(std::string(name));
-  return it == net_by_name_.end() ? NetId::invalid() : NetId(it->second);
+  return NetId(net_index_.find(name, net_name_of()));
 }
 
 CellId Netlist::find_cell(std::string_view name) const {
-  auto it = cell_by_name_.find(std::string(name));
-  return it == cell_by_name_.end() ? CellId::invalid() : CellId(it->second);
+  return CellId(cell_index_.find(name, cell_name_of()));
 }
 
 bool Netlist::is_primary_input(NetId net) const {

@@ -2,13 +2,18 @@
 //
 // Storage is arena-style (vectors indexed by 32-bit strong ids); cells are
 // tombstoned on removal so ids stay stable across flow transformations
-// (FF->latch conversion, clock-tree removal, controller insertion).
+// (FF->latch conversion, clock-tree removal, controller insertion). Names
+// are stored once, in the net/cell records; the by-name lookup is a flat
+// index of ids over them (NameIndex), and a cell's pins are kept inline for
+// up to four inputs and one output (SmallVec), so building or copying a
+// netlist costs a few allocations per net, not per map node and pin list.
 #pragma once
 
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
+#include "base/small_vec.h"
 #include "cell/cells.h"
 
 namespace desyn::nl {
@@ -34,17 +39,67 @@ struct NetData {
   std::vector<Pin> fanout;  ///< input pins reading this net
 };
 
+/// A cell's input / output nets, in pin order.
+using InPins = SmallVec<NetId, 4>;
+using OutPins = SmallVec<NetId, 1>;
+
 struct CellData {
   cell::Kind kind = cell::Kind::Buf;
   std::string name;
-  std::vector<NetId> ins;
-  std::vector<NetId> outs;
+  InPins ins;
+  OutPins outs;
   cell::V init = cell::V::V0;  ///< initial state (storage / state-holding)
   int32_t payload = -1;        ///< ROM/RAM contents (index into payload table)
   uint16_t p0 = 0;             ///< macro parameter: address bits
   uint16_t p1 = 0;             ///< macro parameter: data width
   int32_t group = -1;          ///< flow annotation (latch-bank id, ...)
   bool dead = false;           ///< tombstone set by remove_cell()
+};
+
+/// Open-addressing hash index from names to the dense ids 0, 1, 2, ...
+/// It stores ids only: each id's name lives in the owning record and is
+/// read back through `name_of`, so no name is stored twice and copying the
+/// index copies one vector of uint32. Linear probing, load factor <= 1/2.
+class NameIndex {
+ public:
+  /// The id named `name`, or kAbsent.
+  template <typename NameOf>
+  uint32_t find(std::string_view name, const NameOf& name_of) const {
+    if (slots_.empty()) return kAbsent;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash(name) & mask;; i = (i + 1) & mask) {
+      const uint32_t id = slots_[i];
+      if (id == kAbsent || name_of(id) == name) return id;
+    }
+  }
+
+  /// Index the next id (one past the last pushed) under its name, which
+  /// must not be indexed yet.
+  template <typename NameOf>
+  void push(const NameOf& name_of) {
+    if (2 * (size_ + 1) > slots_.size()) {
+      slots_.assign(slots_.empty() ? 16 : 2 * slots_.size(), kAbsent);
+      for (uint32_t id = 0; id < size_; ++id) place(id, name_of(id));
+    }
+    place(size_, name_of(size_));
+    ++size_;
+  }
+
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+ private:
+  static size_t hash(std::string_view name) {
+    return std::hash<std::string_view>{}(name);
+  }
+  void place(uint32_t id, std::string_view name) {
+    const size_t mask = slots_.size() - 1;
+    size_t i = hash(name) & mask;
+    while (slots_[i] != kAbsent) i = (i + 1) & mask;
+    slots_[i] = id;
+  }
+
+  std::vector<uint32_t> slots_;
+  uint32_t size_ = 0;
 };
 
 class Netlist {
@@ -65,8 +120,8 @@ class Netlist {
 
   /// Add a cell. `ins`/`outs` nets must already exist; output nets must be
   /// undriven. Fanout/driver links are maintained automatically.
-  CellId add_cell(cell::Kind kind, std::string name, std::vector<NetId> ins,
-                  std::vector<NetId> outs, cell::V init = cell::V::V0,
+  CellId add_cell(cell::Kind kind, std::string name, InPins ins,
+                  OutPins outs, cell::V init = cell::V::V0,
                   int32_t payload = -1, uint16_t p0 = 0, uint16_t p1 = 0);
 
   /// Register ROM/RAM contents; returns the payload index.
@@ -155,6 +210,12 @@ class Netlist {
   }
   std::string unique_net_name(std::string base);
   std::string unique_cell_name(std::string base);
+  auto net_name_of() const {
+    return [this](uint32_t id) -> std::string_view { return nets_[id].name; };
+  }
+  auto cell_name_of() const {
+    return [this](uint32_t id) -> std::string_view { return cells_[id].name; };
+  }
 
   std::string name_;
   std::vector<NetData> nets_;
@@ -162,8 +223,8 @@ class Netlist {
   std::vector<NetId> inputs_;
   std::vector<NetId> outputs_;
   std::vector<std::vector<uint64_t>> payloads_;
-  std::unordered_map<std::string, uint32_t> net_by_name_;
-  std::unordered_map<std::string, uint32_t> cell_by_name_;
+  NameIndex net_index_;   ///< every net, by name
+  NameIndex cell_index_;  ///< every cell, tombstoned ones included
   size_t live_cells_ = 0;
   uint64_t auto_name_counter_ = 0;
 };

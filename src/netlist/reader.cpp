@@ -338,8 +338,8 @@ class Parser {
     } else if (kind == cell::Kind::Rom || kind == cell::Kind::Ram) {
       err("memory cell ", iname.text, " has no payload attribute");
     }
-    CellId c = nl.add_cell(kind, iname.text, std::move(ins), std::move(outs),
-                           init, pl, p0, p1);
+    CellId c = nl.add_cell(kind, iname.text, InPins(ins), OutPins(outs), init,
+                           pl, p0, p1);
     if (auto it = attrs_.find("group"); it != attrs_.end()) {
       nl.set_group(c, static_cast<int32_t>(attr_in_range(
                           "group", -1, std::numeric_limits<int32_t>::max(), -1)));

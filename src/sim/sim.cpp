@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <utility>
 
 #include "netlist/query.h"
@@ -188,7 +189,7 @@ void gather(const std::vector<V>& val, const nl::CellData& cd,
 }
 
 /// Decodes an address from bit nets (index 0 = LSB). Returns false on X.
-bool decode_addr(const std::vector<V>& val, const std::vector<NetId>& ins,
+bool decode_addr(const std::vector<V>& val, std::span<const NetId> ins,
                  size_t begin, size_t bits, uint64_t* addr) {
   uint64_t a = 0;
   for (size_t i = 0; i < bits; ++i) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <sstream>
 #include <vector>
 
 #include "base/rng.h"
@@ -15,6 +17,68 @@ namespace {
 TEST(Cat, ConcatenatesValues) {
   EXPECT_EQ(cat("a", 1, "b", 2.5), "a1b2.5");
   EXPECT_EQ(cat(), "");
+}
+
+/// What cat() promises to equal: one ostream rendering the values in turn.
+template <typename... Args>
+std::string streamed(const Args&... args) {
+  std::ostringstream os;
+  (os << ... << args);
+  return os.str();
+}
+
+TEST(Cat, MatchesStreamRenderingForEveryArgumentKind) {
+  struct Tag {};
+  enum Plain { kSeven = 7 };
+  const auto check = [](const std::string& got, const std::string& want) {
+    EXPECT_EQ(got, want);
+  };
+  for (int64_t v : {int64_t{0}, int64_t{-1}, int64_t{42}, int64_t{-9000},
+                    std::numeric_limits<int64_t>::min(),
+                    std::numeric_limits<int64_t>::max()}) {
+    check(cat(v), streamed(v));
+    check(cat(static_cast<int32_t>(v)), streamed(static_cast<int32_t>(v)));
+    check(cat(static_cast<int16_t>(v)), streamed(static_cast<int16_t>(v)));
+    check(cat(static_cast<int8_t>(v)), streamed(static_cast<int8_t>(v)));
+    check(cat(static_cast<uint64_t>(v)), streamed(static_cast<uint64_t>(v)));
+    check(cat(static_cast<uint32_t>(v)), streamed(static_cast<uint32_t>(v)));
+    check(cat(static_cast<uint16_t>(v)), streamed(static_cast<uint16_t>(v)));
+    check(cat(static_cast<uint8_t>(v)), streamed(static_cast<uint8_t>(v)));
+    check(cat(static_cast<long long>(v)), streamed(static_cast<long long>(v)));
+    check(cat(static_cast<unsigned long>(v)),
+          streamed(static_cast<unsigned long>(v)));
+  }
+  check(cat(std::numeric_limits<uint64_t>::max()),
+        streamed(std::numeric_limits<uint64_t>::max()));
+  check(cat('x', static_cast<unsigned char>('y'), static_cast<signed char>('z')),
+        streamed('x', static_cast<unsigned char>('y'),
+                 static_cast<signed char>('z')));
+  check(cat(true, false), streamed(true, false));
+  for (double d : {0.0, -0.5, 2.5, 1.0 / 3.0, 1e-9, 6.02e23}) {
+    check(cat(d), streamed(d));
+    check(cat(static_cast<float>(d)), streamed(static_cast<float>(d)));
+  }
+  check(cat(Id<Tag>(17), Id<Tag>()), streamed(Id<Tag>(17), Id<Tag>()));
+  check(cat(kSeven), streamed(kSeven));
+  const std::string str = "str";
+  const std::string_view view = "view";
+  const char* cstr = "cstr";
+  char buf[] = "buf";
+  check(cat(str, view, cstr, buf, "lit"), streamed(str, view, cstr, buf, "lit"));
+  check(cat("", std::string(), std::string_view()), "");
+  check(cat("n", 3, "_", -4, ".", 0.25, 'c', view),
+        streamed("n", 3, "_", -4, ".", 0.25, 'c', view));
+}
+
+TEST(Cat, ReservesTheExactLength) {
+  // Longer than any small-string buffer: one allocation, no growth slack.
+  const std::string a(40, 'a');
+  const std::string_view b = "a view of some length, past SSO";
+  std::string s = cat(a, b, "literal tail");
+  EXPECT_EQ(s.size(), a.size() + b.size() + 12);
+  EXPECT_EQ(s.capacity(), s.size());
+  std::string t = cat(a, 123456789, "x");
+  EXPECT_EQ(t.capacity(), t.size());
 }
 
 TEST(Ids, DefaultInvalid) {

@@ -10,6 +10,10 @@
 #include <fstream>
 #include <tuple>
 
+#include "base/sha256.h"
+#include "circuits/circuits.h"
+#include "dlx/cpu_builder.h"
+#include "dlx/programs.h"
 #include "netlist/builder.h"
 #include "netlist/writer.h"
 
@@ -402,6 +406,215 @@ TEST(EngineDesynchronize, MatchesReferenceAndSharesArtifacts) {
   StageCounters after = engine.counters();
   EXPECT_EQ(after.synth_runs, before.synth_runs);
   EXPECT_EQ(after.synth_hits, before.synth_hits + 1);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned output bytes: the engine-vs-reference tests above compare two
+// paths through the same netlist code, so a change to that shared code
+// could move both sides at once. These digests were recorded from a
+// known-good build and pin the emitted Verilog, the input content hash
+// (the cache key primitive) and the MCR prediction against the past.
+// ---------------------------------------------------------------------------
+
+struct PinnedDesign {
+  const char* name;
+  circuits::Circuit (*build)();
+  const char* strategy;
+};
+
+circuits::Circuit dlx_fib() {
+  Netlist n("dlx");
+  const dlx::DlxInfo info =
+      dlx::build_dlx(n, dlx::DlxConfig{}, dlx::fibonacci_program(6));
+  return {std::move(n), info.clk};
+}
+
+const PinnedDesign kPinnedDesigns[] = {
+    {"pipe4x8", [] { return circuits::pipeline(4, 8, 3); }, "prefix"},
+    {"lfsr16", [] { return circuits::lfsr(16); }, "prefix"},
+    {"crc32", [] { return circuits::crc32(); }, "prefix"},
+    {"fir8x12", [] { return circuits::fir_filter(8, 12); }, "auto:1.05"},
+    {"mesh6x6x2", [] { return circuits::register_mesh(6, 6, 2); }, "prefix"},
+    {"rpipe32x8", [] { return circuits::random_pipeline(7, 32, 8); },
+     "prefix"},
+    {"counters4x8", [] { return circuits::counter_bank(4, 8); }, "perff"},
+    {"dlx-fib", dlx_fib, "prefix"},
+};
+
+struct PinnedDigest {
+  const char* design;
+  int protocol;            ///< index into ctl::kAllProtocols
+  const char* verilog;     ///< SHA-256 of the Engine::run Verilog
+  const char* input;       ///< nl::content_hash of the submitted netlist
+  double period_ps;        ///< FlowStats::predicted_period_ps
+};
+
+const PinnedDigest kPinnedDigests[] = {
+    {"pipe4x8", 0,
+     "8ab446f2523c86fa62331cd93fd05eedd003e2a6fbaa23678b66a610226c6e08",
+     "19ab70626f765681ae9673ffec984707ee40f60449646749fe5b669a8bdd39a1",
+     668},
+    {"pipe4x8", 1,
+     "bb2e4e3bbba7ee39737a3fe48ddee8c8739ad8bffe9fc9ade20311d49157255d",
+     "19ab70626f765681ae9673ffec984707ee40f60449646749fe5b669a8bdd39a1",
+     668},
+    {"pipe4x8", 2,
+     "fc2b2e9f5c67d2d4b32737af2327fd95fcc935dcd8c945a3c356bbc6d3d90544",
+     "19ab70626f765681ae9673ffec984707ee40f60449646749fe5b669a8bdd39a1",
+     488},
+    {"pipe4x8", 3,
+     "dd8eab83741c3c6536a8975a2d561397b2903145707260b2265d06425967baa5",
+     "19ab70626f765681ae9673ffec984707ee40f60449646749fe5b669a8bdd39a1",
+     488},
+    {"lfsr16", 0,
+     "3d80e68f5834b1f68bb7618e92543e5fae0636a9d19611f55bce43955f52e915",
+     "7af12d3427e93f3577afb405b8fb407d3b3a219f1085707df8bd42a3e3f0eea6",
+     572},
+    {"lfsr16", 1,
+     "ba5e6b084e4f1201f389716bddc2db7e988173d3b18d00f88a98d8562d0572e7",
+     "7af12d3427e93f3577afb405b8fb407d3b3a219f1085707df8bd42a3e3f0eea6",
+     572},
+    {"lfsr16", 2,
+     "f0eef3aa311d33bcb2eb187d5f136295934759566d92d3a86ccf4f40da60041c",
+     "7af12d3427e93f3577afb405b8fb407d3b3a219f1085707df8bd42a3e3f0eea6",
+     392},
+    {"lfsr16", 3,
+     "3761a27b1aba98513eb68c2baa42b14a6e1c043fc276e3f630187e60e778c166",
+     "7af12d3427e93f3577afb405b8fb407d3b3a219f1085707df8bd42a3e3f0eea6",
+     392},
+    {"crc32", 0,
+     "ca32c24c6af0fa2d606ab280b1b4f8e57ecefc657268721f55fcd75a6a0fdff8",
+     "09585bb1f8aa91616dd583b800d9a9d79737941ca3ca9358204dc38a909600a7",
+     692},
+    {"crc32", 1,
+     "c6b08dafa1e9fcb90911009bb71b7f6066a9df58aa98381f4b4d42b37bff4cde",
+     "09585bb1f8aa91616dd583b800d9a9d79737941ca3ca9358204dc38a909600a7",
+     692},
+    {"crc32", 2,
+     "343a7fcdcb163cfaf66ca3be1bdcb9f260757b187fdd39a0da9ac31073702109",
+     "09585bb1f8aa91616dd583b800d9a9d79737941ca3ca9358204dc38a909600a7",
+     512},
+    {"crc32", 3,
+     "0652d4ff20c0544cb9813864a7ead5ffe39c816c5b305fd6401e614e0ee1f7e6",
+     "09585bb1f8aa91616dd583b800d9a9d79737941ca3ca9358204dc38a909600a7",
+     512},
+    {"fir8x12", 0,
+     "f671a4686d77723f0d37f01deeb98070e7890274c7eb464e925bf7eed7b77396",
+     "3d280ba06f27fb76f66b86d6fd5a408f7e0792c510714cdd6d62d603ad0ae1b0",
+     1952},
+    {"fir8x12", 1,
+     "e7fd07d9d603db011a07632933455edd847ad45a4a5bb6896bf1754ff706abad",
+     "3d280ba06f27fb76f66b86d6fd5a408f7e0792c510714cdd6d62d603ad0ae1b0",
+     1952},
+    {"fir8x12", 2,
+     "754551416110dc721a8802b4bc5079cd82772d1e2616dfa39308da0606181dd8",
+     "3d280ba06f27fb76f66b86d6fd5a408f7e0792c510714cdd6d62d603ad0ae1b0",
+     1832},
+    {"fir8x12", 3,
+     "54881fce278492f950f803b298f5f9ffbd520f3737e168ac22cdf4085aea4bd2",
+     "3d280ba06f27fb76f66b86d6fd5a408f7e0792c510714cdd6d62d603ad0ae1b0",
+     1772},
+    {"mesh6x6x2", 0,
+     "1de43e9e9c5035f787350221516cc1cd13c4a04fc4b02b293bfec554fa104848",
+     "6e5072cb35a139416a8c5abf3e4a59cf466a261bac11592842decb091cb21865",
+     692},
+    {"mesh6x6x2", 1,
+     "e762969c4a9be507c41284ca3fd7dc20cfa5b635d819f306a69391533606c920",
+     "6e5072cb35a139416a8c5abf3e4a59cf466a261bac11592842decb091cb21865",
+     692},
+    {"mesh6x6x2", 2,
+     "d20a76fac7ab19d3ba835c2e35388d18f5210db994022ce88142a0c45bfb05ec",
+     "6e5072cb35a139416a8c5abf3e4a59cf466a261bac11592842decb091cb21865",
+     512},
+    {"mesh6x6x2", 3,
+     "bdcdd2f85325b281d10a4790f99ed67410bac140e399c9d6de2e18e31eeaaf7d",
+     "6e5072cb35a139416a8c5abf3e4a59cf466a261bac11592842decb091cb21865",
+     512},
+    {"rpipe32x8", 0,
+     "e501b62d7a33adb58ece1108319ad61ef50d86dbc238e019f9f9c78d3cd2ea2f",
+     "7494b72ad8278958af7cdd5710f4d59c8e22f709a6cc26479eca42db93c5bb24",
+     692},
+    {"rpipe32x8", 1,
+     "3aad56d5752642a033aed572a34e8095d306f25edc461d59b35230f3f09bf11f",
+     "7494b72ad8278958af7cdd5710f4d59c8e22f709a6cc26479eca42db93c5bb24",
+     692},
+    {"rpipe32x8", 2,
+     "91b4db7d1cebc9c12be88ff7eb78a9c0cb5a56b56c771f1bb4c2a932e37f0180",
+     "7494b72ad8278958af7cdd5710f4d59c8e22f709a6cc26479eca42db93c5bb24",
+     512},
+    {"rpipe32x8", 3,
+     "7e4d97584d922f064e322a33bab38f56b45fd76443d0590861faa58b26acbf0b",
+     "7494b72ad8278958af7cdd5710f4d59c8e22f709a6cc26479eca42db93c5bb24",
+     512},
+    {"counters4x8", 0,
+     "3d6f0b443bd6c5e41b85e5531c4fced18ed75ddba2c604beadc2e307ea2416bc",
+     "2ac9ba94fc99786472b2f814995f52eebb297ea27356c3fdbcb08eecb7e2c74d",
+     1172},
+    {"counters4x8", 1,
+     "05e79876bb59fc5b819301ac995f96c4546ed39424dc985d90e469665dad3681",
+     "2ac9ba94fc99786472b2f814995f52eebb297ea27356c3fdbcb08eecb7e2c74d",
+     1172},
+    {"counters4x8", 2,
+     "9ef2558851340829bb39db0cde5c648d177d4a2dd77192c46099f4f3b35d39aa",
+     "2ac9ba94fc99786472b2f814995f52eebb297ea27356c3fdbcb08eecb7e2c74d",
+     992},
+    {"counters4x8", 3,
+     "d95777dc0591a07f9088259772a30b57d427969f0063e59e810d8478b7210804",
+     "2ac9ba94fc99786472b2f814995f52eebb297ea27356c3fdbcb08eecb7e2c74d",
+     992},
+    {"dlx-fib", 0,
+     "e69eadf6443a1fcd4fa891c3d2cd223613b9951fc74d3dda36fee0302557539d",
+     "5c73c4295e1a8d77b42977ad26271c617345b7021416c16ec7ff3817c610debf",
+     3452},
+    {"dlx-fib", 1,
+     "3be74d84a09c06df0c6a5513f4be2699bb2ca3ad2f24199e4f47fb721b0d16ea",
+     "5c73c4295e1a8d77b42977ad26271c617345b7021416c16ec7ff3817c610debf",
+     3452},
+    {"dlx-fib", 2,
+     "eed53777bc1ac384cc0aab07487d1d58247cbf67614ab11898a27c7dd718f226",
+     "5c73c4295e1a8d77b42977ad26271c617345b7021416c16ec7ff3817c610debf",
+     3362},
+    {"dlx-fib", 3,
+     "085e221cee6e7310fbfbd971487ef0ff298ef7868f02c3e0004b35f21ba74aec",
+     "5c73c4295e1a8d77b42977ad26271c617345b7021416c16ec7ff3817c610debf",
+     3272},
+};
+
+TEST(EngineTest, PinnedVerilogDigests) {
+  std::string actual;
+  size_t row = 0;
+  for (const PinnedDesign& d : kPinnedDesigns) {
+    circuits::Circuit c = d.build();
+    const std::string input = nl::content_hash(c.netlist).hex();
+    Engine engine(Tech::generic90());
+    for (int p = 0; p < 4; ++p) {
+      DesyncOptions opt;
+      opt.strategy = PartitionSpec::parse(d.strategy);
+      opt.protocol = ctl::kAllProtocols[p];
+      FlowOutcome out = engine.run(c.netlist, c.clock, opt);
+      const std::string verilog = sha256(*out.verilog).hex();
+      char line[256];
+      std::snprintf(line, sizeof line, "    {\"%s\", %d,\n     \"%s\",\n"
+                    "     \"%s\",\n     %.17g},\n", d.name, p,
+                    verilog.c_str(), input.c_str(),
+                    out.stats.predicted_period_ps);
+      actual += line;
+      if (row >= std::size(kPinnedDigests)) {
+        ADD_FAILURE() << "no pinned row for " << d.name << " protocol " << p;
+        ++row;
+        continue;
+      }
+      const PinnedDigest& want = kPinnedDigests[row++];
+      SCOPED_TRACE(cat(d.name, " protocol ", p));
+      EXPECT_STREQ(want.design, d.name);
+      EXPECT_EQ(want.protocol, p);
+      EXPECT_EQ(verilog, want.verilog);
+      EXPECT_EQ(input, want.input);
+      EXPECT_EQ(out.stats.predicted_period_ps, want.period_ps);
+    }
+  }
+  EXPECT_EQ(row, std::size(kPinnedDigests));
+  if (HasFailure()) std::printf("actual digests:\n%s", actual.c_str());
 }
 
 }  // namespace

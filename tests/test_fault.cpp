@@ -375,7 +375,7 @@ TEST(ArtifactScrub, ScrubOnOpenCountsAndDiscardsCorruptEntries) {
     flow::ArtifactStore store(flow::ArtifactStore::Options{4, dir});
     auto b = std::make_shared<Blob>();
     b->text = "payload";
-    store.put("result", key, b, "payload");
+    store.put("result", key, b, [] { return std::string("payload"); });
   }
   // Vandalize the entry on disk.
   flow::CacheScan scan = flow::scan_cache_dir(dir, /*verify=*/true);
@@ -546,7 +546,10 @@ TEST(SvcLimits, IdleConnectionIsDroppedAtIoDeadline) {
 }
 
 TEST(SvcCancel, CancelInflightAnswersTyped) {
-  circuits::Circuit mesh = circuits::register_mesh(6, 6, 2);
+  // The design is sized so the flow stays in flight for tens of
+  // milliseconds (about 40 ms optimized), many times the 1 ms period of the
+  // cancel loop below, so a cancel lands while the flow runs.
+  circuits::Circuit mesh = circuits::register_mesh(16, 16, 2);
   std::string req = svc::make_request(nl::to_verilog(mesh.netlist),
                                       mesh.netlist.net(mesh.clock).name,
                                       "auto:1.05", 1.1, "pulse");

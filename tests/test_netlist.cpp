@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "circuits/circuits.h"
 #include "netlist/builder.h"
 #include "netlist/hash.h"
@@ -71,6 +74,174 @@ TEST(Netlist, RemoveCellTombstones) {
   }
   EXPECT_EQ(count, 0);
   nl.check();
+}
+
+// ---------------------------------------------------------------------------
+// Name index (NameIndex): flat open addressing over the stored names.
+// ---------------------------------------------------------------------------
+
+TEST(NameIndex, LookupsStayCorrectAcrossRehashes) {
+  Netlist nl("t");
+  std::vector<NetId> nets;
+  std::vector<CellId> cells;
+  NetId a = nl.add_input("a");
+  // 3000 entries per index: the table doubles from 16 slots eight times.
+  for (int i = 0; i < 3000; ++i) {
+    nets.push_back(nl.add_net(cat("w", i)));
+    cells.push_back(nl.add_cell(Kind::Buf, cat("g", i), {a}, {nets.back()}));
+    if ((i & (i + 1)) == 0 || i == 2999) {  // after each power-of-two size
+      for (int k = 0; k <= i; ++k) {
+        ASSERT_EQ(nl.find_net(cat("w", k)), nets[static_cast<size_t>(k)]);
+        ASSERT_EQ(nl.find_cell(cat("g", k)), cells[static_cast<size_t>(k)]);
+      }
+    }
+  }
+  EXPECT_EQ(nl.find_net("a"), a);
+  EXPECT_FALSE(nl.find_net("w3000").valid());
+  EXPECT_FALSE(nl.find_cell("w0").valid());  // nets and cells are separate
+  nl.check();
+}
+
+TEST(NameIndex, UniquifiedAndGeneratedNamesResolve) {
+  Netlist nl("t");
+  NetId in = nl.add_input("in");
+  // "u3" taken by hand before the generator reaches 3: the generated
+  // name is uniquified with a further counter suffix ("u3_<k>").
+  CellId hand = nl.add_cell(Kind::Buf, "u3", {in}, {nl.add_net("y0")});
+  std::vector<CellId> generated;
+  for (int i = 0; i < 6; ++i) {
+    generated.push_back(nl.add_cell(Kind::Buf, "", {in}, {nl.add_net()}));
+  }
+  EXPECT_EQ(nl.find_cell("u3"), hand);
+  int suffixed = 0;
+  for (CellId c : generated) {
+    const std::string& name = nl.cell(c).name;
+    EXPECT_EQ(nl.find_cell(name), c) << name;
+    suffixed += starts_with(name, "u3_");
+  }
+  EXPECT_EQ(suffixed, 1);
+  for (uint32_t n = 0; n < nl.num_nets(); ++n) {
+    EXPECT_EQ(nl.find_net(nl.net(NetId(n)).name), NetId(n));
+  }
+}
+
+TEST(NameIndex, TombstonedCellsKeepTheirNames) {
+  Netlist nl("t");
+  NetId a = nl.add_input("a");
+  CellId g = nl.add_cell(Kind::Inv, "g", {a}, {nl.add_net("y")});
+  nl.remove_cell(g);
+  EXPECT_EQ(nl.find_cell("g"), g);
+  EXPECT_EQ(nl.cell(g).name, "g");
+  // The name stays taken: a new "g" is uniquified, not a silent alias.
+  CellId g2 = nl.add_cell(Kind::Inv, "g", {a}, {nl.add_net("z")});
+  EXPECT_NE(nl.cell(g2).name, "g");
+  EXPECT_EQ(nl.find_cell(nl.cell(g2).name), g2);
+}
+
+TEST(NameIndex, CopiesAreIndependent) {
+  Netlist nl("t");
+  NetId a = nl.add_input("a");
+  for (int i = 0; i < 20; ++i) nl.add_net(cat("n", i));
+  Netlist copy = nl;
+  NetId only_copy = copy.add_net("only_in_copy");
+  NetId only_orig = nl.add_net("only_in_orig");
+  EXPECT_EQ(only_copy, only_orig);  // same id, different names
+  EXPECT_EQ(copy.find_net("only_in_copy"), only_copy);
+  EXPECT_FALSE(copy.find_net("only_in_orig").valid());
+  EXPECT_EQ(nl.find_net("only_in_orig"), only_orig);
+  EXPECT_FALSE(nl.find_net("only_in_copy").valid());
+  EXPECT_EQ(copy.find_net("a"), a);
+  EXPECT_EQ(copy.find_net("n19"), nl.find_net("n19"));
+}
+
+TEST(NameIndex, AbsentAndEmptyNamesAreNotFound) {
+  Netlist empty("t");
+  EXPECT_FALSE(empty.find_net("").valid());
+  EXPECT_FALSE(empty.find_cell("x").valid());
+  Netlist nl("t");
+  NetId auto_named = nl.add_net();  // generated name, never ""
+  EXPECT_FALSE(nl.net(auto_named).name.empty());
+  EXPECT_FALSE(nl.find_net("").valid());
+  EXPECT_FALSE(nl.find_cell("").valid());
+  EXPECT_FALSE(nl.find_net("missing").valid());
+  EXPECT_EQ(nl.find_net(nl.net(auto_named).name), auto_named);
+}
+
+// ---------------------------------------------------------------------------
+// Pin lists (SmallVec): inline up to four inputs / one output.
+// ---------------------------------------------------------------------------
+
+TEST(PinList, CopyMoveAndSelfAssign) {
+  const auto ids = [](std::initializer_list<uint32_t> v) {
+    std::vector<NetId> out;
+    for (uint32_t x : v) out.push_back(NetId(x));
+    return out;
+  };
+  for (const std::vector<NetId>& src :
+       {ids({}), ids({1}), ids({1, 2, 3, 4}), ids({1, 2, 3, 4, 5, 6, 7})}) {
+    InPins p(src);
+    EXPECT_EQ(p.on_heap(), src.size() > 4);
+    EXPECT_TRUE(std::equal(p.begin(), p.end(), src.begin(), src.end()));
+    InPins copy(p);
+    EXPECT_EQ(copy, p);
+    if (!src.empty()) {
+      copy[0] = NetId(99);  // deep copy: the original is untouched
+      EXPECT_EQ(p[0], src[0]);
+    }
+    InPins moved(std::move(copy));
+    EXPECT_EQ(copy.size(), 0u);  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(moved.size(), src.size());
+    InPins assigned{NetId(5)};
+    assigned = p;
+    EXPECT_EQ(assigned, p);
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned.size(), src.size());
+    InPins& self = assigned;
+    assigned = self;
+    EXPECT_EQ(assigned.size(), src.size());
+    assigned = std::move(self);
+    EXPECT_EQ(assigned.size(), src.size());
+    std::span<const NetId> view = p;
+    EXPECT_TRUE(std::equal(view.begin(), view.end(), src.begin(), src.end()));
+  }
+  OutPins one{NetId(3)};
+  EXPECT_FALSE(one.on_heap());
+  OutPins two{NetId(3), NetId(4)};
+  EXPECT_TRUE(two.on_heap());
+  EXPECT_EQ(two[1], NetId(4));
+}
+
+TEST(PinList, WideRamSpillsToTheHeapAndStaysEditable) {
+  Netlist nl("t");
+  Builder b(nl);
+  NetId ck = b.input("ck");
+  NetId we = b.input("we");
+  std::vector<NetId> wa{b.input("wa0"), b.input("wa1")};
+  std::vector<NetId> wd{b.input("wd0"), b.input("wd1")};
+  std::vector<NetId> ra{b.input("ra0"), b.input("ra1")};
+  std::vector<NetId> rd = b.ram(ck, we, wa, wd, ra, 2, "mem");
+  b.output(rd[0]);
+  const CellId ram = nl.find_cell("mem");
+  ASSERT_TRUE(ram.valid());
+  ASSERT_EQ(nl.cell(ram).ins.size(), 8u);
+  EXPECT_TRUE(nl.cell(ram).ins.on_heap());
+  EXPECT_TRUE(nl.cell(ram).outs.on_heap());
+
+  // Copies duplicate the spilled pins; edits to one leave the other alone.
+  Netlist copy = nl;
+  NetId alt = nl.add_input("ra1_alt");
+  nl.rewire_input(ram, 7, alt);
+  EXPECT_EQ(nl.cell(ram).ins[7], alt);
+  EXPECT_EQ(copy.cell(ram).ins[7], ra[1]);
+  EXPECT_TRUE(nl.net(ra[1]).fanout.empty());
+  nl.check();
+  copy.check();
+
+  nl.remove_cell(ram);
+  EXPECT_TRUE(nl.net(alt).fanout.empty());
+  EXPECT_FALSE(nl.net(rd[1]).driver.valid());
+  EXPECT_EQ(nl.cell(ram).ins.size(), 8u);  // tombstones keep their pins
+  EXPECT_EQ(copy.cell(ram).ins[7], ra[1]);
 }
 
 TEST(Builder, TreeDecompositionForWideGates) {
